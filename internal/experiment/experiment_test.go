@@ -351,3 +351,26 @@ func TestMotivationParallelismInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestMotivationCountsOnlyIOWrites: the remote design measures the CPU's
+// own write packets only. Cross-traffic flows are drawn at random, and on
+// some seeds (5, 6, 8, 21, …) one runs from the CPU's node to the device
+// too; counting those packets used to fail the run with more deliveries
+// than writes. Every seed in 0–200 must now measure exactly the writes.
+// The flows are drawn before the run length matters, so a short run of 20
+// writes meets the same flows as the default 200.
+func TestMotivationCountsOnlyIOWrites(t *testing.T) {
+	cfg := DefaultMotivation()
+	cfg.Writes = 20
+	expected := motivationExpected(cfg)
+	for seed := int64(0); seed <= 200; seed++ {
+		cfg.Seed = seed
+		rep, _, err := motivationRemote(cfg, expected)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if len(rep.Events) != cfg.Writes {
+			t.Fatalf("seed %d: report covers %d writes, want %d", seed, len(rep.Events), cfg.Writes)
+		}
+	}
+}

@@ -191,6 +191,11 @@ func (motivationExperiment) PartialSkipNote(cov Coverage, missingShards string) 
 		"experiment is a two-design comparison and needs both cells.\n\n"
 }
 
+// motivationWrite marks the payload of the CPU's I/O write packets, so the
+// device counts them apart from cross-traffic that happens to share their
+// source and destination.
+type motivationWrite struct{}
+
 // motivationRemote simulates the CPU issuing the writes across the mesh
 // under cross-traffic.
 func motivationRemote(cfg MotivationConfig, expected []timing.Cycle) (*trace.Report, timing.Cycle, error) {
@@ -206,7 +211,7 @@ func motivationRemote(cfg MotivationConfig, expected []timing.Cycle) (*trace.Rep
 
 	observed := make([]timing.Cycle, 0, cfg.Writes)
 	if err := mesh.Attach(dst, func(p *noc.Packet) {
-		if p.Src == src {
+		if _, ok := p.Payload.(motivationWrite); ok {
 			observed = append(observed, p.Delivered)
 		}
 	}); err != nil {
@@ -218,7 +223,7 @@ func motivationRemote(cfg MotivationConfig, expected []timing.Cycle) (*trace.Rep
 	for _, ideal := range expected {
 		send := ideal - base
 		k.At(send, func() {
-			mesh.Inject(&noc.Packet{Src: src, Dst: dst, Priority: 1})
+			mesh.Inject(&noc.Packet{Src: src, Dst: dst, Priority: 1, Payload: motivationWrite{}})
 		})
 	}
 	// Cross-traffic: equal-priority flows crossing the I/O route.

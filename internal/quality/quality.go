@@ -105,46 +105,6 @@ func Upsilon(jobs []taskmodel.Job, starts StartTimes, curve Curve) (float64, err
 	return got / ideal, nil
 }
 
-// PsiIndexed returns Ψ over index-keyed start times: starts[i] is the
-// start instant of jobs[i]. It is the allocation-free form of Psi for hot
-// paths (the GA fitness evaluator) that hold starts in a reusable slice
-// instead of a StartTimes map; the two agree whenever the map holds the
-// same instants. starts must have at least len(jobs) entries. An empty
-// job list yields Ψ = 0.
-func PsiIndexed(jobs []taskmodel.Job, starts []timing.Time) float64 {
-	if len(jobs) == 0 {
-		return 0
-	}
-	exact := 0
-	for i := range jobs {
-		if Exact(&jobs[i], starts[i]) {
-			exact++
-		}
-	}
-	return float64(exact) / float64(len(jobs))
-}
-
-// UpsilonIndexed returns Υ over index-keyed start times: starts[i] is the
-// start instant of jobs[i] (the allocation-free counterpart of Upsilon;
-// see PsiIndexed). It returns an error if the ideal quality sum is not
-// positive. starts must have at least len(jobs) entries. An empty job
-// list yields Υ = 0.
-func UpsilonIndexed(jobs []taskmodel.Job, starts []timing.Time, curve Curve) (float64, error) {
-	if len(jobs) == 0 {
-		return 0, nil
-	}
-	var got, ideal float64
-	for i := range jobs {
-		j := &jobs[i]
-		got += curve.Value(j, starts[i])
-		ideal += curve.Value(j, j.Ideal)
-	}
-	if ideal <= 0 {
-		return 0, fmt.Errorf("quality: ideal quality sum %g is not positive", ideal)
-	}
-	return got / ideal, nil
-}
-
 // Accuracy returns the timing accuracy of one job: |ideal − actual|, the
 // paper's Section I definition (smaller is better; 0 is exact).
 func Accuracy(j *taskmodel.Job, kappa timing.Time) timing.Time {

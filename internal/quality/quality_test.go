@@ -2,6 +2,7 @@ package quality
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -196,6 +197,65 @@ func TestUpsilon(t *testing.T) {
 	want = 2.0 / 14.0
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("worst-case Υ = %g, want %g", got, want)
+	}
+}
+
+// TestMetricsOnRandomSchedules: over randomised schedules and every
+// curve, Ψ and Υ equal their definitions term for term — exact jobs over
+// all jobs, and Σ V(κ) over Σ V(δ) with both sums taken in job order.
+// Callers that score index-keyed schedules (the GA's fitness evaluator)
+// rely on that order to match these functions bit for bit.
+func TestMetricsOnRandomSchedules(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	curves := []Curve{Linear{}, Penalised{Base: Linear{}, Penalty: -1000}, Exponential{Sharpness: 2}}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(20)
+		jobs := make([]taskmodel.Job, n)
+		m := make(StartTimes, n)
+		exact := 0
+		for i := range jobs {
+			ideal := timing.Time(100 + rng.Intn(1000))
+			jobs[i] = taskmodel.Job{
+				ID:       taskmodel.JobID{Task: i / 3, J: i % 3},
+				Release:  0,
+				Deadline: ideal + 2000,
+				Ideal:    ideal,
+				C:        timing.Time(1 + rng.Intn(20)),
+				Theta:    timing.Time(10 + rng.Intn(100)),
+				P:        rng.Intn(4),
+				Vmax:     2 + rng.Float64()*8,
+				Vmin:     1,
+			}
+			start := ideal
+			if rng.Intn(2) == 0 {
+				start += timing.Time(rng.Intn(300)) - 150
+			}
+			if start == ideal {
+				exact++
+			}
+			m[jobs[i].ID] = start
+		}
+		psi, err := Psi(jobs, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := float64(exact) / float64(n); psi != want {
+			t.Fatalf("trial %d: Ψ = %g, want %g", trial, psi, want)
+		}
+		for _, c := range curves {
+			var got, ideal float64
+			for i := range jobs {
+				got += c.Value(&jobs[i], m[jobs[i].ID])
+				ideal += c.Value(&jobs[i], jobs[i].Ideal)
+			}
+			ups, err := Upsilon(jobs, m, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := got / ideal; ups != want {
+				t.Fatalf("trial %d: Υ = %g, want %g (curve %T)", trial, ups, want, c)
+			}
+		}
 	}
 }
 

@@ -20,4 +20,20 @@
 //     to (0, 1.0) so different slots press towards different ends of the
 //     Pareto front;
 //   - all non-dominated solutions found during the search are returned.
+//
+// The fitness hot path does no per-evaluation or per-generation work that
+// depends only on the job set. A plan built once per Solve holds each
+// job's static tie-break rank (priority descending, then ID.Task, then
+// ID.J) and Υ's normaliser Σ V(δ). The layout sorts (gene, rank) keys,
+// which are unique, with an insertion sort; the keys are laid down in
+// ascending gene-window order, so they arrive nearly sorted. Scoring
+// takes the same per-job terms in the same order as quality.Psi and
+// quality.Upsilon, so the results match them bit for bit.
+//
+// The population is double-buffered: the parents and the children each
+// own one gene buffer per slot, carved from a single arena, and children
+// are bred in place. Slot elitism keeps a better parent by swapping it
+// with the child instead of copying it, so each buffer keeps exactly one
+// owner. One random source serves the whole run and is reseeded per
+// generation, which draws exactly the sequence a fresh source would.
 package ga

@@ -1,9 +1,11 @@
 package ga
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/exec"
@@ -186,6 +188,12 @@ const (
 // source, score every offspring on the worker pool (scoring is a pure
 // function of the genes), then apply archive offers and slot elitism
 // serially in slot order. See Options.Seed for the determinism contract.
+//
+// The population is double-buffered: pop and next each own one gene
+// buffer per slot, carved from a single arena, and children are bred
+// straight into next's buffers. Slot elitism keeps an incumbent by
+// swapping it with the child rather than copying, so every buffer always
+// has exactly one owner and a generation allocates nothing.
 func Solve(jobs []taskmodel.Job, opts Options) (*Result, error) {
 	if len(jobs) == 0 {
 		return &Result{Front: []Solution{{Starts: quality.StartTimes{}, Psi: 0, Upsilon: 0}}}, nil
@@ -193,7 +201,8 @@ func Solve(jobs []taskmodel.Job, opts Options) (*Result, error) {
 	opts.normalize(len(jobs))
 	pool := exec.New(opts.Parallelism)
 
-	bs := make([]bounds, len(jobs))
+	n := len(jobs)
+	bs := make([]bounds, n)
 	for i := range jobs {
 		b, err := geneBounds(&jobs[i])
 		if err != nil {
@@ -201,18 +210,31 @@ func Solve(jobs []taskmodel.Job, opts Options) (*Result, error) {
 		}
 		bs[i] = b
 	}
+	p, err := newPlan(jobs, bs, opts)
+	if err != nil {
+		return nil, err
+	}
 
-	initRNG := exec.RNG(opts.Seed, streamInit)
+	arena := make([]timing.Time, 2*opts.Population*n)
 	pop := make([]individual, opts.Population)
+	next := make([]individual, opts.Population)
 	for k := range pop {
-		pop[k].genes = randomGenes(initRNG, bs)
+		pop[k].genes = arena[k*n : (k+1)*n : (k+1)*n]
+		m := opts.Population + k
+		next[k].genes = arena[m*n : (m+1)*n : (m+1)*n]
+	}
+	// One source serves the whole run: reseeding it with a stream's derived
+	// seed yields exactly the sequence a fresh source would.
+	rng := exec.RNG(opts.Seed, streamInit)
+	for k := range pop {
+		for i := range bs {
+			pop[k].genes[i] = randomGene(rng, bs[i])
+		}
 	}
 	if opts.SeedIdeal {
-		g := make([]timing.Time, len(jobs))
 		for i := range jobs {
-			g[i] = clampT(jobs[i].Ideal, bs[i].lo, bs[i].hi)
+			pop[0].genes[i] = clampT(jobs[i].Ideal, bs[i].lo, bs[i].hi)
 		}
-		pop[0].genes = g
 	}
 	arch := &archive{}
 	weights := make([]float64, opts.Population)
@@ -224,16 +246,14 @@ func Solve(jobs []taskmodel.Job, opts Options) (*Result, error) {
 		}
 	}
 	// One evaluator (with its private scratch) per worker chunk, reused
-	// across every generation: the eval inner loop allocates nothing, so
-	// the only per-generation allocations left are the offspring genes and
-	// the generation's derived random source.
+	// across every generation; all of them share the run's read-only plan.
 	nev := pool.Workers()
 	if nev > opts.Population {
 		nev = opts.Population
 	}
 	evs := make([]evaluator, nev)
 	for c := range evs {
-		evs[c] = evaluator{jobs: jobs, curve: opts.Curve, snap: opts.SnapToIdeal}
+		evs[c] = evaluator{plan: p}
 	}
 	evaluate := func(batch []individual) {
 		evalPopulation(pool, evs, batch)
@@ -252,20 +272,21 @@ func Solve(jobs []taskmodel.Job, opts Options) (*Result, error) {
 	}
 	evaluate(pop)
 
-	next := make([]individual, opts.Population)
 	for gen := 0; gen < opts.Generations; gen++ {
-		rng := exec.RNG(opts.Seed, streamGen, int64(gen))
+		rng.Seed(exec.DeriveSeed(opts.Seed, streamGen, int64(gen)))
 		for k := 0; k < opts.Population; k++ {
 			w := weights[k]
 			p1 := tournament(rng, pop, w, opts.TournamentSize)
 			p2 := tournament(rng, pop, w, opts.TournamentSize)
-			child := make([]timing.Time, len(jobs))
+			child := next[k].genes
 			if rng.Float64() < opts.CrossoverRate {
+				a, b := pop[p1].genes, pop[p2].genes
 				for i := range child {
-					if rng.Intn(2) == 0 {
-						child[i] = pop[p1].genes[i]
+					// rng.Intn(2), drawn without the call chain.
+					if rng.Int63()>>32&1 == 0 {
+						child[i] = a[i]
 					} else {
-						child[i] = pop[p2].genes[i]
+						child[i] = b[i]
 					}
 				}
 			} else {
@@ -276,14 +297,13 @@ func Solve(jobs []taskmodel.Job, opts Options) (*Result, error) {
 					child[i] = randomGene(rng, bs[i])
 				}
 			}
-			next[k] = individual{genes: child}
 		}
 		evaluate(next)
 		// Slot elitism: keep the incumbent when it scores better under the
 		// slot's weight.
 		for k := range next {
 			if scalar(&pop[k], weights[k]) > scalar(&next[k], weights[k]) {
-				next[k] = pop[k]
+				pop[k], next[k] = next[k], pop[k]
 			}
 		}
 		pop, next = next, pop
@@ -336,14 +356,6 @@ func tournament(rng *rand.Rand, pop []individual, w float64, size int) int {
 	return best
 }
 
-func randomGenes(rng *rand.Rand, bs []bounds) []timing.Time {
-	g := make([]timing.Time, len(bs))
-	for i := range bs {
-		g[i] = randomGene(rng, bs[i])
-	}
-	return g
-}
-
 func randomGene(rng *rand.Rand, b bounds) timing.Time {
 	return b.lo + timing.Time(rng.Int63n(int64(b.hi-b.lo)+1))
 }
@@ -358,20 +370,83 @@ func clampT(v, lo, hi timing.Time) timing.Time {
 	return v
 }
 
+// plan is the read-only state every evaluator of one Solve shares, all of
+// it a function of the job set and the options alone.
+type plan struct {
+	jobs []taskmodel.Job
+	snap bool
+	// curve scores Υ; linear marks quality.Linear, which score calls
+	// directly instead of through the interface.
+	curve  quality.Curve
+	linear bool
+	// ideal is Υ's normaliser Σ V(δ), summed in job order.
+	ideal float64
+	// rankKeys holds one layout key per job with the gene left unset, in
+	// ascending gene-window lo order. A key's rank is the job's position in
+	// the static tie-break order of footnote 2: priority descending, then
+	// ID.Task, then ID.J (then job index, so ranks are unique).
+	rankKeys []layoutKey
+}
+
+// layoutKey orders one job in the gene-order layout: by gene, ties by rank.
+// Ranks are unique, so keys never compare equal and the sort needs no
+// stability.
+type layoutKey struct {
+	gene timing.Time
+	rank int32
+	idx  int32 // the job's index in plan.jobs
+}
+
+func newPlan(jobs []taskmodel.Job, bs []bounds, opts Options) (*plan, error) {
+	p := &plan{jobs: jobs, snap: opts.SnapToIdeal, curve: opts.Curve}
+	_, p.linear = opts.Curve.(quality.Linear)
+	for i := range jobs {
+		p.ideal += opts.Curve.Value(&jobs[i], jobs[i].Ideal)
+	}
+	if p.ideal <= 0 {
+		return nil, fmt.Errorf("ga: ideal quality sum %g is not positive", p.ideal)
+	}
+	n := len(jobs)
+	byRank := make([]int32, n)
+	for i := range byRank {
+		byRank[i] = int32(i)
+	}
+	slices.SortStableFunc(byRank, func(a, b int32) int {
+		ja, jb := &jobs[a], &jobs[b]
+		if c := cmp.Compare(jb.P, ja.P); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(ja.ID.Task, jb.ID.Task); c != 0 {
+			return c
+		}
+		return cmp.Compare(ja.ID.J, jb.ID.J)
+	})
+	p.rankKeys = make([]layoutKey, n)
+	for r, i := range byRank {
+		p.rankKeys[r] = layoutKey{rank: int32(r), idx: i}
+	}
+	// Every gene lies inside its own [lo, hi] window, so keys laid down in
+	// lo order arrive nearly sorted and layout's insertion sort runs in
+	// close to linear time.
+	slices.SortFunc(p.rankKeys, func(a, b layoutKey) int {
+		if c := cmp.Compare(bs[a.idx].lo, bs[b.idx].lo); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.rank, b.rank)
+	})
+	return p, nil
+}
+
 // evaluator runs the reconfiguration function and scores individuals. Its
-// scratch slices and comparator state live for the whole Solve, so the eval
-// inner loop performs no heap allocation: start times stay in an
-// index-keyed slice (starts[i] belongs to jobs[i]) and only archive-bound
-// individuals ever pay for a StartTimes map (materialize).
+// scratch slices live for the whole Solve, so the eval inner loop performs
+// no heap allocation: start times stay in an index-keyed slice (starts[i]
+// belongs to jobs[i]) and only archive-bound individuals ever pay for a
+// StartTimes map (materialize).
 type evaluator struct {
-	jobs  []taskmodel.Job
-	curve quality.Curve
-	snap  bool
+	*plan
 	// scratch reused across evaluations
-	order  []int
+	keys   []layoutKey
 	starts []timing.Time
-	ready  []int
-	sorter layoutSorter
 	// The FPS fallback ignores the genes, so its schedule — and whether one
 	// exists at all — is a property of the job set alone: simulate once and
 	// memoise the verdict, the starts and the scores.
@@ -380,32 +455,6 @@ type evaluator struct {
 	fpsStarts []timing.Time
 	fpsPsi    float64
 	fpsUps    float64
-}
-
-// layoutSorter is the pre-allocated comparator state for the gene-order
-// sort: a sort.Interface over the evaluator's order scratch, so sorting
-// captures no closure and allocates nothing per evaluation.
-type layoutSorter struct {
-	jobs  []taskmodel.Job
-	genes []timing.Time
-	order []int
-}
-
-func (s *layoutSorter) Len() int      { return len(s.order) }
-func (s *layoutSorter) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.order[a] }
-func (s *layoutSorter) Less(a, b int) bool {
-	ja, jb := &s.jobs[s.order[a]], &s.jobs[s.order[b]]
-	ga, gb := s.genes[s.order[a]], s.genes[s.order[b]]
-	if ga != gb {
-		return ga < gb
-	}
-	if ja.P != jb.P {
-		return ja.P > jb.P
-	}
-	if ja.ID.Task != jb.ID.Task {
-		return ja.ID.Task < jb.ID.Task
-	}
-	return ja.ID.J < jb.ID.J
 }
 
 // eval repairs the genes into a feasible layout and returns (Ψ, Υ, true);
@@ -430,13 +479,24 @@ func (e *evaluator) eval(genes []timing.Time) (float64, float64, bool) {
 	return -1, -1, false
 }
 
+// score returns (Ψ, Υ, true) for index-keyed start times. Ψ and Υ take
+// the per-job terms of quality.Psi and quality.Upsilon in job order, so
+// every bit matches them; Υ's normaliser comes precomputed from the plan.
 func (e *evaluator) score(starts []timing.Time) (float64, float64, bool) {
-	psi := quality.PsiIndexed(e.jobs, starts)
-	ups, err := quality.UpsilonIndexed(e.jobs, starts, e.curve)
-	if err != nil {
-		panic(err)
+	exact := 0
+	var got float64
+	for i := range e.jobs {
+		j := &e.jobs[i]
+		if quality.Exact(j, starts[i]) {
+			exact++
+		}
+		if e.linear {
+			got += quality.Linear{}.Value(j, starts[i])
+		} else {
+			got += e.curve.Value(j, starts[i])
+		}
 	}
-	return psi, ups, true
+	return float64(exact) / float64(len(e.jobs)), got / e.ideal, true
 }
 
 // materialize re-runs the deterministic repair for genes and returns the
@@ -461,23 +521,30 @@ func (e *evaluator) materialize(genes []timing.Time) quality.StartTimes {
 
 // layout performs the gene-order repair pass (ties: higher priority
 // first, as footnote 2 prescribes), writing the schedule into e.starts.
-// It returns false when the order misses a deadline.
+// It returns false when the order misses a deadline. The order comes from
+// an insertion sort of (gene, rank) keys laid down in window order.
 func (e *evaluator) layout(genes []timing.Time) bool {
-	n := len(e.jobs)
-	if e.order == nil {
-		e.order = make([]int, n)
-		e.starts = make([]timing.Time, n)
+	if e.keys == nil {
+		e.keys = make([]layoutKey, len(e.jobs))
+		e.starts = make([]timing.Time, len(e.jobs))
 	}
-	order := e.order
-	for i := range order {
-		order[i] = i
+	keys := e.keys
+	for k, key := range e.rankKeys {
+		key.gene = genes[key.idx]
+		keys[k] = key
 	}
-	e.sorter = layoutSorter{jobs: e.jobs, genes: genes, order: order}
-	sort.Stable(&e.sorter)
+	for a := 1; a < len(keys); a++ {
+		key := keys[a]
+		b := a
+		for ; b > 0 && (key.gene < keys[b-1].gene || key.gene == keys[b-1].gene && key.rank < keys[b-1].rank); b-- {
+			keys[b] = keys[b-1]
+		}
+		keys[b] = key
+	}
 	var cursor timing.Time
-	for oi, idx := range order {
-		j := &e.jobs[idx]
-		start := genes[idx]
+	for oi := range keys {
+		j := &e.jobs[keys[oi].idx]
+		start := keys[oi].gene
 		if start < j.Release {
 			start = j.Release
 		}
@@ -488,17 +555,15 @@ func (e *evaluator) layout(genes []timing.Time) bool {
 			// Pull towards the ideal instant when that cannot reorder the
 			// layout: the next job's gene must not want the gap.
 			snapped := j.Ideal
-			if oi+1 < len(order) {
-				if nxt := genes[order[oi+1]]; snapped+j.C > nxt {
-					snapped = start
-				}
+			if oi+1 < len(keys) && snapped+j.C > keys[oi+1].gene {
+				snapped = start
 			}
 			start = snapped
 		}
 		if start+j.C > j.Deadline {
 			return false
 		}
-		e.starts[idx] = start
+		e.starts[keys[oi].idx] = start
 		cursor = start + j.C
 	}
 	return true
@@ -520,27 +585,22 @@ func (e *evaluator) fps() bool {
 // simulateFPS is the repair fallback: a work-conserving non-preemptive
 // fixed-priority simulation over the partition's jobs (the discipline the
 // FPS-offline baseline uses), writing the schedule into e.fpsStarts. It
+// runs at most once per evaluator, so its scratch is not kept. It
 // returns false when even that misses a deadline. The genes play no role,
 // so every individual repaired this way shares the same (feasible,
 // low-quality) point — selection then pulls the population back towards
 // gene-feasible regions.
 func (e *evaluator) simulateFPS() bool {
 	n := len(e.jobs)
-	if e.order == nil {
-		e.order = make([]int, n)
-		e.starts = make([]timing.Time, n)
-	}
-	if e.fpsStarts == nil {
-		e.fpsStarts = make([]timing.Time, n)
-	}
-	order := e.order
+	order := make([]int, n)
+	e.fpsStarts = make([]timing.Time, n)
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		return e.jobs[order[a]].Release < e.jobs[order[b]].Release
 	})
-	ready := e.ready[:0]
+	ready := make([]int, 0, n)
 	next := 0
 	var now timing.Time
 	for done := 0; done < n; done++ {
@@ -565,13 +625,11 @@ func (e *evaluator) simulateFPS() bool {
 		j := &e.jobs[idx]
 		start := timing.Max(now, j.Release)
 		if start+j.C > j.Deadline {
-			e.ready = ready[:0]
 			return false
 		}
 		e.fpsStarts[idx] = start
 		now = start + j.C
 	}
-	e.ready = ready[:0]
 	return true
 }
 

@@ -319,3 +319,49 @@ func TestSolveParallelismInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestFrontScoresMatchQuality: the evaluator's hoisted scoring is the
+// quality package's Ψ and Υ, bit for bit, for the fast Linear path and
+// for curves scored through the interface alike.
+func TestFrontScoresMatchQuality(t *testing.T) {
+	cfg := gen.PaperConfig()
+	curves := []quality.Curve{quality.Linear{}, quality.Penalised{Base: quality.Linear{}, Penalty: -1000}, quality.Exponential{Sharpness: 3}}
+	for _, curve := range curves {
+		for seed := int64(0); seed < 3; seed++ {
+			ts, err := cfg.System(rand.New(rand.NewSource(seed)), 0.4+0.2*float64(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs := ts.Jobs()
+			opts := testOpts(seed)
+			opts.Curve = curve
+			res, err := Solve(jobs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sol := range res.Front {
+				psi, err := quality.Psi(jobs, sol.Starts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ups, err := quality.Upsilon(jobs, sol.Starts, curve)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sol.Psi != psi || sol.Upsilon != ups {
+					t.Fatalf("%T seed %d: front scores (%v, %v), quality package (%v, %v)", curve, seed, sol.Psi, sol.Upsilon, psi, ups)
+				}
+			}
+		}
+	}
+}
+
+// TestSolveRejectsNonPositiveIdealQuality: Υ is undefined when the
+// all-ideal quality sum is not positive, so Solve refuses the job set.
+func TestSolveRejectsNonPositiveIdealQuality(t *testing.T) {
+	j := mkJob(0, 0, 0, 200, 50, 10, 2)
+	j.Vmax, j.Vmin = 0, 0
+	if _, err := Solve([]taskmodel.Job{j}, testOpts(1)); err == nil {
+		t.Fatal("Solve accepted a job set whose ideal quality sum is 0")
+	}
+}
