@@ -11,8 +11,8 @@ import (
 // the population lives in one double-buffered arena, the random source is
 // reseeded rather than rebuilt each generation, and fitness evaluation
 // runs on per-worker scratch. What remains is per-Solve set-up and archive
-// bookkeeping (about 40 allocations in this shape), so any per-generation
-// or per-child allocation creeping back in blows the budget.
+// bookkeeping (about 40 allocations in this shape, 20 × 10 children), so
+// an allocation per child creeping back in blows the budget.
 func TestSolveAllocationBudget(t *testing.T) {
 	cfg := gen.PaperConfig()
 	ts, err := cfg.System(rand.New(rand.NewSource(1)), 0.5)

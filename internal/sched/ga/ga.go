@@ -193,7 +193,7 @@ const (
 // buffer per slot, carved from a single arena, and children are bred
 // straight into next's buffers. Slot elitism keeps an incumbent by
 // swapping it with the child rather than copying, so every buffer always
-// has exactly one owner and a generation allocates nothing.
+// has exactly one owner and breeding allocates nothing.
 func Solve(jobs []taskmodel.Job, opts Options) (*Result, error) {
 	if len(jobs) == 0 {
 		return &Result{Front: []Solution{{Starts: quality.StartTimes{}, Psi: 0, Upsilon: 0}}}, nil
